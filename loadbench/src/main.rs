@@ -213,11 +213,10 @@ fn crawl(client: &mut Client) -> Result<(f64, f64), String> {
 }
 
 /// Set-up: build the registry, boot (which verifies the caches), check
-/// the service answers, then warm it: `warm_hit` asks every popular
-/// question once, `cold_live` asks a fixed set of other questions (so
+/// the service answers, then warm it. `warm_hit` asks every popular
+/// question once; `cold_live` asks a fixed set of other questions, so
 /// lazy indexes, the tie region and thread pools are built before
-/// timing),
-/// `recon_stream` reconstructs Blue Nile.
+/// timing; `recon_stream` reconstructs Blue Nile.
 fn boot(gen: &Generator, seed: u64) -> Result<Env, String> {
     let w = gen.workload();
     let start = Instant::now();
@@ -239,22 +238,21 @@ fn boot(gen: &Generator, seed: u64) -> Result<Env, String> {
         .map_err(|e| format!("serve: {e}"))?;
     let mut client = Client::new(server.addr(), REQUEST_TIMEOUT);
     get_json(&mut client, "/v1/sources")?;
-    let mut crawled = None;
-    match w {
-        Workload::WarmHit | Workload::ColdLive => {
-            let questions = match w {
-                Workload::WarmHit => gen::popular_questions(),
-                _ => gen::cold_warmup(),
-            };
-            for (i, q) in questions.iter().enumerate() {
-                let o = session::run(&mut client, w, i as u64, q, Instant::now(), None);
-                if let Some(e) = o.error {
-                    return Err(format!("warm-up: {e}"));
-                }
-            }
+    let warm_up = match w {
+        Workload::WarmHit => gen::popular_questions(),
+        Workload::ColdLive => gen::cold_warmup(),
+        Workload::ReconStream => Vec::new(),
+    };
+    for (i, q) in warm_up.iter().enumerate() {
+        let o = session::run(&mut client, w, i as u64, q, Instant::now(), None);
+        if let Some(e) = o.error {
+            return Err(format!("warm-up: {e}"));
         }
-        Workload::ReconStream => crawled = Some(crawl(&mut client)?),
     }
+    let crawled = match w {
+        Workload::ReconStream => Some(crawl(&mut client)?),
+        Workload::WarmHit | Workload::ColdLive => None,
+    };
     Ok(Env {
         server,
         sources,
