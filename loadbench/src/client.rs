@@ -207,8 +207,8 @@ fn require_line(r: &mut impl BufRead) -> Result<String, ClientError> {
 }
 
 /// Parse one response: status line, headers, and a body framed by
-/// `Content-Length`, chunked coding, or (only when the server announced
-/// `Connection: close`) the end of the stream.
+/// `Content-Length` or chunked coding. A body framed only by the end of
+/// the stream is a framing error, even under `Connection: close`.
 pub fn read_response(r: &mut impl BufRead) -> Result<Response, ClientError> {
     let status_line = read_line(r)?.ok_or(ClientError::Closed)?;
     let mut parts = status_line.splitn(3, ' ');
@@ -274,15 +274,6 @@ pub fn read_response(r: &mut impl BufRead) -> Result<Response, ClientError> {
             std::io::ErrorKind::UnexpectedEof => framing("body shorter than Content-Length"),
             _ => e.into(),
         })?;
-        body
-    } else if close {
-        let mut body = Vec::new();
-        r.by_ref()
-            .take(MAX_BODY as u64 + 1)
-            .read_to_end(&mut body)?;
-        if body.len() > MAX_BODY {
-            return Err(framing("body too large"));
-        }
         body
     } else {
         return Err(framing("response has neither a length nor chunked coding"));
@@ -391,13 +382,16 @@ mod tests {
     }
 
     #[test]
-    fn unframed_bodies_need_connection_close() {
-        assert!(matches!(
-            parse("HTTP/1.1 200 OK\r\n\r\nbody"),
-            Err(ClientError::Framing(_))
-        ));
-        let resp = parse("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nbody").unwrap();
-        assert_eq!(resp.body, b"body");
+    fn unframed_bodies_are_framing_errors() {
+        for raw in [
+            "HTTP/1.1 200 OK\r\n\r\nbody",
+            "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nbody",
+        ] {
+            assert!(
+                matches!(parse(raw), Err(ClientError::Framing(_))),
+                "{raw:?}"
+            );
+        }
     }
 
     #[test]

@@ -54,8 +54,10 @@ const FANOUT: usize = 8;
 const CLIENTS: usize = 2;
 /// Every request's deadline. A failed session counts at this latency.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
+/// Set-ups per run; `setup_s` is their median. The first set-up's
+/// service is the one measured; the others are timed after the peak RSS
+/// is read and stopped at once, so `peak_rss_mb` reflects one service.
+const SETUPS: usize = 7;
 /// Share of `--seconds` spent in the closed loop; the open loop gets the
 /// rest, and a traced run adds one more closed loop of the same length.
 const CLOSED_SHARE: f64 = 0.25;
@@ -335,8 +337,11 @@ enum Plan {
 struct Phase {
     outcomes: Vec<Outcome>,
     wall: Duration,
-    /// Process CPU seconds (all threads) the phase took.
-    cpu_s: f64,
+    /// CPU seconds the service took: the process's CPU time over the
+    /// phase less the client threads' own.
+    server_cpu_s: f64,
+    /// CPU seconds the client threads took.
+    client_cpu_s: f64,
     connects: u64,
     body_bytes: u64,
     /// Send time − due time, ms (open loop).
@@ -414,6 +419,7 @@ fn drive(env: &Env, gen: &Generator, base: u64, plan: &Plan, traced: bool) -> Ph
                         client.connects,
                         client.body_bytes,
                         tracer,
+                        stats::thread_cpu_s(),
                     )
                 })
             })
@@ -423,10 +429,14 @@ fn drive(env: &Env, gen: &Generator, base: u64, plan: &Plan, traced: bool) -> Ph
             .map(|h| h.join().expect("client thread panicked"))
             .collect()
     });
+    let wall = start.elapsed();
+    let process_cpu_s = stats::process_cpu_s() - cpu0;
+    let client_cpu_s: f64 = per_client.iter().map(|c| c.5).sum();
     let mut phase = Phase {
         outcomes: Vec::new(),
-        wall: start.elapsed(),
-        cpu_s: stats::process_cpu_s() - cpu0,
+        wall,
+        server_cpu_s: (process_cpu_s - client_cpu_s).max(0.0),
+        client_cpu_s,
         connects: 0,
         body_bytes: 0,
         late_ms: Vec::new(),
@@ -435,7 +445,7 @@ fn drive(env: &Env, gen: &Generator, base: u64, plan: &Plan, traced: bool) -> Ph
         before,
         after: panels(&env.sources),
     };
-    for (outcomes, late, connects, bytes, tracer) in per_client {
+    for (outcomes, late, connects, bytes, tracer, _) in per_client {
         phase.outcomes.extend(outcomes);
         phase.late_ms.extend(late);
         phase.connects += connects;
@@ -495,6 +505,30 @@ fn check_answers(env: &Env, gen: &Generator, phases: &[&Phase]) -> usize {
     mismatches
 }
 
+/// A run's verdict over its sessions.
+#[derive(Debug, PartialEq, Eq)]
+struct Tally {
+    attempted: usize,
+    failed: usize,
+    correct: bool,
+}
+
+impl Tally {
+    /// A session fails when it erred (a non-2xx status, a deadline, a
+    /// framing error, a degraded page, a stream that did not end
+    /// `complete`) or when its answer mismatched the oracle. The oracle
+    /// checks only sessions without an error, so the two never overlap.
+    /// Any failure makes the run incorrect.
+    fn of(outcomes: &[&Outcome], mismatches: usize) -> Tally {
+        let failed = outcomes.iter().filter(|o| o.error.is_some()).count() + mismatches;
+        Tally {
+            attempted: outcomes.len(),
+            failed,
+            correct: failed == 0,
+        }
+    }
+}
+
 fn sorted(values: &[f64]) -> Vec<f64> {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
@@ -548,7 +582,7 @@ fn end_to_end(
         ),
         (
             "cpu_ms_per_session",
-            ratio(closed.cpu_s * 1e3, ok),
+            ratio(closed.server_cpu_s * 1e3, ok),
             "ms/session",
         ),
         ("first_page_p50_ms", p(&first, 0.50, "first_page")?, "ms"),
@@ -569,9 +603,10 @@ fn end_to_end(
     ])
 }
 
+/// `crawl` is the reconstruction's (median seconds over the set-ups,
+/// paid queries), on `recon_stream` only.
 fn per_layer(
-    env: &Env,
-    crawl_s: f64,
+    crawl: Option<(f64, f64)>,
     closed: &Phase,
     open: &Phase,
     t: &Phase,
@@ -601,10 +636,7 @@ fn per_layer(
         .filter(|o| o.stats.recon_hits > 0 && o.stats.queries == 0)
         .count();
     let ledger = a.ledger - b.ledger;
-    let (crawl_queries, crawl_s) = match env.crawl {
-        Some((_, q)) => (q, crawl_s),
-        None => (0.0, 0.0),
-    };
+    let (crawl_s, crawl_queries) = crawl.unwrap_or((0.0, 0.0));
     Ok(vec![
         (
             "http.connects_per_session",
@@ -747,23 +779,9 @@ fn run(args: &Args) -> Result<(String, bool), String> {
     let open_n = ((open_rate(w) * args.seconds * (1.0 - CLOSED_SHARE)).round() as usize)
         .max(MIN_OPEN_SESSIONS);
 
-    let mut setups = Vec::with_capacity(SETUPS);
-    let mut crawls = Vec::new();
-    let mut env: Option<Env> = None;
-    for _ in 0..SETUPS {
-        if let Some(old) = env.take() {
-            old.server.stop();
-        }
-        let e = boot(&gen, args.seed)?;
-        setups.push(e.setup_s);
-        if let Some((secs, _)) = e.crawl {
-            crawls.push(secs);
-        }
-        env = Some(e);
-    }
-    let env = env.expect("at least one set-up");
-    let setup_s = median(&setups);
-
+    let env = boot(&gen, args.seed)?;
+    let mut setups = vec![env.setup_s];
+    let mut crawls: Vec<f64> = env.crawl.iter().map(|(secs, _)| *secs).collect();
     let closed = drive(&env, &gen, 0, &Plan::Closed(closed_for), false);
     let open = drive(
         &env,
@@ -780,25 +798,31 @@ fn run(args: &Args) -> Result<(String, bool), String> {
     let mut phases = vec![&closed, &open];
     phases.extend(traced.as_ref());
     let mismatches = check_answers(&env, &gen, &phases);
-    let attempted: usize = phases.iter().map(|p| p.outcomes.len()).sum();
-    let errors: Vec<&String> = phases
-        .iter()
-        .flat_map(|p| &p.outcomes)
-        .filter_map(|o| o.error.as_ref())
-        .collect();
+    let outcomes: Vec<&Outcome> = phases.iter().flat_map(|p| &p.outcomes).collect();
+    let tally = Tally::of(&outcomes, mismatches);
+    let errors: Vec<&String> = outcomes.iter().filter_map(|o| o.error.as_ref()).collect();
     for e in errors.iter().take(3) {
         eprintln!("failed session: {e}");
     }
-    let failed = errors.len() + mismatches;
+    let crawl_queries = env.crawl.map(|(_, queries)| queries);
+    env.server.stop();
+    for _ in 1..SETUPS {
+        let e = boot(&gen, args.seed)?;
+        setups.push(e.setup_s);
+        crawls.extend(e.crawl.map(|(secs, _)| secs));
+        e.server.stop();
+    }
+    let setup_s = median(&setups);
+    let crawl = crawl_queries.map(|queries| (median(&crawls), queries));
 
     let untraced_sessions = (closed.outcomes.len() + open.outcomes.len()) as f64;
     let paid =
         (closed.after.ledger - closed.before.ledger) + (open.after.ledger - open.before.ledger);
     eprintln!(
-        "{}: seed {}, {} set-ups, closed {} sessions in {:.2} s, open {} at {}/s, {} failed, {} oracle mismatches",
+        "{}: seed {}, set-ups {:.3?} s, closed {} sessions in {:.2} s, open {} at {}/s, {} failed, {} oracle mismatches",
         w.name(),
         args.seed,
-        setups.len(),
+        setups,
         closed.outcomes.len(),
         closed.wall.as_secs_f64(),
         open.outcomes.len(),
@@ -807,15 +831,31 @@ fn run(args: &Args) -> Result<(String, bool), String> {
         mismatches
     );
     eprintln!(
-        "  paid_queries_per_session {:.3}  failed_frac {:.5}  loadgen late p99 {:?} ms  peak_rss {:.1} MiB",
+        "  paid_queries_per_session {:.3} queries/session  failed_frac {:.5} ratio  loadgen late p99 {:?} ms",
         ratio(paid, untraced_sessions),
-        ratio(failed as f64, attempted as f64),
+        ratio(tally.failed as f64, tally.attempted as f64),
         percentile(&sorted(&open.late_ms), 0.99),
-        peak_rss
+    );
+    eprintln!(
+        "  closed-loop CPU: service {:.3} s, clients {:.3} s ({:.1}% of the process's)",
+        closed.server_cpu_s,
+        closed.client_cpu_s,
+        100.0
+            * ratio(
+                closed.client_cpu_s,
+                closed.server_cpu_s + closed.client_cpu_s
+            )
     );
 
     let metrics = match &traced {
-        None => end_to_end(setup_s, peak_rss, &closed, &open, failed, attempted)?,
+        None => end_to_end(
+            setup_s,
+            peak_rss,
+            &closed,
+            &open,
+            tally.failed,
+            tally.attempted,
+        )?,
         Some(t) => {
             if t.missing_traces > 0 {
                 eprintln!(
@@ -823,15 +863,14 @@ fn run(args: &Args) -> Result<(String, bool), String> {
                     t.missing_traces
                 );
             }
-            per_layer(&env, median(&crawls), &closed, &open, t)?
+            per_layer(crawl, &closed, &open, t)?
         }
     };
     for (name, value, unit) in &metrics {
         eprintln!("  {name:<38} {value:>14.4} {unit}");
     }
-    env.server.stop();
-    let correct = mismatches == 0;
-    Ok((render(correct, attempted, failed, &metrics)?, correct))
+    let line = render(tally.correct, tally.attempted, tally.failed, &metrics)?;
+    Ok((line, tally.correct))
 }
 
 fn main() {
@@ -858,5 +897,102 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpListener;
+
+    /// Answer one request per connection with each canned response in
+    /// turn, closing the connection after it.
+    fn canned(responses: Vec<String>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for resp in responses {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut r = BufReader::new(stream.try_clone().unwrap());
+                let mut length = 0;
+                loop {
+                    let mut line = String::new();
+                    r.read_line(&mut line).unwrap();
+                    if line == "\r\n" {
+                        break;
+                    }
+                    if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                        length = v.trim().parse().unwrap();
+                    }
+                }
+                r.read_exact(&mut vec![0; length]).unwrap();
+                stream.write_all(resp.as_bytes()).unwrap();
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn a_degraded_page_fails_the_run() {
+        let page = r#"{"query_id":"s1","degraded":true,"done":false,"results":[{"id":7}],"stats":{"queries":0,"rounds":0,"parallel_queries":0,"recon_hits":1}}"#;
+        let (addr, server) = canned(vec![
+            format!(
+                "HTTP/1.1 201 Created\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{page}",
+                page.len()
+            ),
+            "HTTP/1.1 204 No Content\r\nConnection: close\r\n\r\n".to_string(),
+        ]);
+        let gen = Generator::new(Workload::ColdLive, 1);
+        let mut client = Client::new(addr, Duration::from_secs(5));
+        let q = gen.question(0);
+        let o = session::run(&mut client, Workload::ColdLive, 0, &q, Instant::now(), None);
+        server.join().unwrap();
+        assert!(
+            o.error.as_deref().is_some_and(|e| e.contains("degraded")),
+            "{:?}",
+            o.error
+        );
+        assert_eq!(client.connects, 2, "the session still deletes its query");
+        assert_eq!(
+            Tally::of(&[&o], 0),
+            Tally {
+                attempted: 1,
+                failed: 1,
+                correct: false
+            }
+        );
+    }
+
+    #[test]
+    fn any_failure_makes_the_run_incorrect() {
+        let fine = Outcome {
+            index: 0,
+            error: None,
+            ids: vec![1, 2],
+            stats: session::PageStats::default(),
+            first_page: Duration::ZERO,
+            latency: Duration::ZERO,
+            busy: Duration::ZERO,
+        };
+        let mut failed = fine.clone();
+        failed.error = Some("GET /v1/queries/s1/next: status 500".into());
+        assert!(Tally::of(&[&fine, &fine], 0).correct);
+        assert_eq!(
+            Tally::of(&[&fine, &fine], 1),
+            Tally {
+                attempted: 2,
+                failed: 1,
+                correct: false
+            }
+        );
+        assert_eq!(
+            Tally::of(&[&fine, &failed], 0),
+            Tally {
+                attempted: 2,
+                failed: 1,
+                correct: false
+            }
+        );
     }
 }

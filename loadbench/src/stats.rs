@@ -80,9 +80,20 @@ pub fn minus(a: &[Interval], b: &[Interval]) -> u64 {
 /// Process user + system CPU time in seconds (all threads, live and
 /// exited), from `/proc/self/stat`.
 pub fn process_cpu_s() -> f64 {
+    cpu_s("/proc/self/stat")
+}
+
+/// The calling thread's user + system CPU time in seconds, from
+/// `/proc/thread-self/stat`.
+pub fn thread_cpu_s() -> f64 {
+    cpu_s("/proc/thread-self/stat")
+}
+
+/// `utime + stime` of a `/proc` stat file, in seconds.
+fn cpu_s(path: &str) -> f64 {
     // USER_HZ, which Linux fixes at 100 for the /proc interface.
     const TICKS_PER_S: f64 = 100.0;
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    let stat = std::fs::read_to_string(path).unwrap_or_default();
     // Fields after the parenthesised command name start at field 3.
     let fields: Vec<&str> = stat
         .rsplit_once(')')
@@ -156,5 +167,15 @@ mod tests {
         let spin = std::time::Instant::now();
         while spin.elapsed().as_millis() < 30 {}
         assert!(process_cpu_s() > 0.0);
+        // A fresh thread starts at zero and only counts its own work.
+        let (idle, busy) = std::thread::spawn(|| {
+            let idle = thread_cpu_s();
+            let spin = std::time::Instant::now();
+            while spin.elapsed().as_millis() < 50 {}
+            (idle, thread_cpu_s())
+        })
+        .join()
+        .unwrap();
+        assert!(idle < 0.02 && busy > idle, "{idle} {busy}");
     }
 }
